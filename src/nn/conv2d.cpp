@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "nn/gemm.h"
+#include "nn/scratch.h"
 #include "util/check.h"
 
 namespace sidco::nn {
@@ -17,6 +20,55 @@ ConvShape conv_out_shape(const ConvShape& in, std::size_t out_channels,
   return {.channels = out_channels,
           .height = (in.height + 2 * pad - kernel) / stride + 1,
           .width = (in.width + 2 * pad - kernel) / stride + 1};
+}
+
+/// The outputs o < outputs whose tap lands inside the image along one axis,
+/// 0 <= o * stride + first < extent, as the range [lo, hi).
+std::pair<std::size_t, std::size_t> inside(std::size_t outputs,
+                                           std::size_t stride,
+                                           std::ptrdiff_t first,
+                                           std::size_t extent) {
+  const auto st = static_cast<std::ptrdiff_t>(stride);
+  const auto ceil_div = [st](std::ptrdiff_t a) {
+    return a <= 0 ? 0 : (a + st - 1) / st;
+  };
+  const std::ptrdiff_t lo = ceil_div(-first);
+  const std::ptrdiff_t hi =
+      std::min(static_cast<std::ptrdiff_t>(outputs),
+               ceil_div(static_cast<std::ptrdiff_t>(extent) - first));
+  return {static_cast<std::size_t>(lo),
+          static_cast<std::size_t>(std::max(lo, hi))};
+}
+
+/// im2col of one sample: col[(c * K + kr) * K + kc][r * out.width + q] =
+/// x[c][r * stride + kr - pad][q * stride + kc - pad], 0 in the padding.
+void im2col(const float* x, const ConvShape& in, std::size_t kernel,
+            std::size_t stride, std::size_t pad, const ConvShape& out,
+            float* col) {
+  const std::size_t pixels = out.height * out.width;
+  std::fill(col, col + in.channels * kernel * kernel * pixels, 0.0F);
+  const auto spad = static_cast<std::ptrdiff_t>(pad);
+  float* tap = col;
+  for (std::size_t c = 0; c < in.channels; ++c) {
+    const float* plane = x + c * in.height * in.width;
+    for (std::size_t kr = 0; kr < kernel; ++kr) {
+      const std::ptrdiff_t r_first = static_cast<std::ptrdiff_t>(kr) - spad;
+      const auto [r_lo, r_hi] = inside(out.height, stride, r_first, in.height);
+      for (std::size_t kc = 0; kc < kernel; ++kc, tap += pixels) {
+        const std::ptrdiff_t q_first = static_cast<std::ptrdiff_t>(kc) - spad;
+        const auto [q_lo, q_hi] = inside(out.width, stride, q_first, in.width);
+        for (std::size_t r = r_lo; r < r_hi; ++r) {
+          const auto ir = static_cast<std::size_t>(
+              static_cast<std::ptrdiff_t>(r * stride) + r_first);
+          const float* src = plane + ir * in.width;
+          float* dst = tap + r * out.width;
+          for (std::size_t q = q_lo; q < q_hi; ++q) {
+            dst[q] = src[static_cast<std::ptrdiff_t>(q * stride) + q_first];
+          }
+        }
+      }
+    }
+  }
 }
 }  // namespace
 
@@ -57,43 +109,18 @@ void Conv2D::init(util::Rng& rng) {
 
 void Conv2D::forward(std::span<const float> in, std::span<float> out,
                      std::size_t batch) {
-  const std::size_t ih = in_.height;
-  const std::size_t iw = in_.width;
-  const std::size_t oh = out_.height;
-  const std::size_t ow = out_.width;
-  const std::size_t cin = in_.channels;
-  const std::size_t cout = out_.channels;
+  const std::size_t taps = in_.channels * kernel_ * kernel_;
+  const std::size_t pixels = out_.height * out_.width;
+  const std::span<float> col = scratch(ScratchSlot::kIm2col, taps * pixels);
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* x = in.data() + b * in_.features();
+    im2col(in.data() + b * in_.features(), in_, kernel_, stride_, pad_, out_,
+           col.data());
     float* y = out.data() + b * out_.features();
-    for (std::size_t co = 0; co < cout; ++co) {
-      float* ychan = y + co * oh * ow;
-      const float* wchan = weight_.data() + co * cin * kernel_ * kernel_;
-      const float bias = bias_[co];
-      for (std::size_t r = 0; r < oh; ++r) {
-        for (std::size_t c = 0; c < ow; ++c) {
-          float acc = bias;
-          for (std::size_t ci = 0; ci < cin; ++ci) {
-            const float* xchan = x + ci * ih * iw;
-            const float* wk = wchan + ci * kernel_ * kernel_;
-            for (std::size_t kr = 0; kr < kernel_; ++kr) {
-              const std::ptrdiff_t ir = static_cast<std::ptrdiff_t>(r * stride_ + kr) -
-                                        static_cast<std::ptrdiff_t>(pad_);
-              if (ir < 0 || ir >= static_cast<std::ptrdiff_t>(ih)) continue;
-              for (std::size_t kc = 0; kc < kernel_; ++kc) {
-                const std::ptrdiff_t ic = static_cast<std::ptrdiff_t>(c * stride_ + kc) -
-                                          static_cast<std::ptrdiff_t>(pad_);
-                if (ic < 0 || ic >= static_cast<std::ptrdiff_t>(iw)) continue;
-                acc += wk[kr * kernel_ + kc] *
-                       xchan[static_cast<std::size_t>(ir) * iw +
-                             static_cast<std::size_t>(ic)];
-              }
-            }
-          }
-          ychan[r * ow + c] = acc;
-        }
-      }
+    for (std::size_t co = 0; co < out_.channels; ++co) {
+      std::fill(y + co * pixels, y + (co + 1) * pixels, bias_[co]);
     }
+    gemm(out_.channels, pixels, taps, {weight_.data(), taps, 1},
+         {col.data(), pixels, 1}, {y, pixels, 1});
   }
 }
 
@@ -297,26 +324,28 @@ void ResidualBlock::forward(std::span<const float> in, std::span<float> out,
                             std::size_t batch) {
   const std::size_t mid = batch * conv1_->out_features();
   const std::size_t fin = batch * out_features();
-  pre1_.resize(mid);
   act1_.resize(mid);
-  pre2_.resize(fin);
-  skip_out_.resize(fin);
+  pass1_.resize(mid);
+  pass2_.resize(fin);
 
-  conv1_->forward(in, pre1_, batch);
+  conv1_->forward(in, act1_, batch);
   for (std::size_t i = 0; i < mid; ++i) {
-    act1_[i] = pre1_[i] > 0.0F ? pre1_[i] : 0.0F;
+    const float pre = act1_[i];
+    pass1_[i] = pre <= 0.0F ? 0 : 1;
+    act1_[i] = pre > 0.0F ? pre : 0.0F;
   }
-  conv2_->forward(act1_, pre2_, batch);
+  conv2_->forward(act1_, out, batch);
+  std::span<const float> skip_out = in;
   if (skip_) {
-    skip_->forward(in, skip_out_, batch);
-  } else {
-    std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(fin),
-              skip_out_.begin());
+    const std::span<float> projected =
+        scratch(ScratchSlot::kResidualSkip, fin);
+    skip_->forward(in, projected, batch);
+    skip_out = projected;
   }
   for (std::size_t i = 0; i < fin; ++i) {
-    const float s = pre2_[i] + skip_out_[i];
+    const float s = out[i] + skip_out[i];
     out[i] = s > 0.0F ? s : 0.0F;
-    pre2_[i] = s;  // cache pre-relu sum for backward
+    pass2_[i] = s > 0.0F ? 1 : 0;
   }
 }
 
@@ -325,25 +354,25 @@ void ResidualBlock::backward(std::span<const float> in,
                              std::span<float> grad_in, std::size_t batch) {
   const std::size_t mid = batch * conv1_->out_features();
   const std::size_t fin = batch * out_features();
-  scratch_.resize(std::max(mid, fin));
 
   // Through the final relu: d(sum) = grad_out * relu'(sum).
-  std::vector<float> dsum(fin);
+  const std::span<float> dsum = scratch(ScratchSlot::kResidualSum, fin);
   for (std::size_t i = 0; i < fin; ++i) {
-    dsum[i] = pre2_[i] > 0.0F ? grad_out[i] : 0.0F;
+    dsum[i] = pass2_[i] != 0 ? grad_out[i] : 0.0F;
   }
 
   // Branch 1: conv2 <- relu <- conv1.
-  std::vector<float> dact1(mid);
+  const std::span<float> dact1 = scratch(ScratchSlot::kResidualAct, mid);
   conv2_->backward(act1_, dsum, dact1, batch);
   for (std::size_t i = 0; i < mid; ++i) {
-    if (pre1_[i] <= 0.0F) dact1[i] = 0.0F;
+    if (pass1_[i] == 0) dact1[i] = 0.0F;
   }
   conv1_->backward(in, dact1, grad_in, batch);
 
   // Branch 2 (skip): add its input-gradient contribution.
   if (skip_) {
-    std::vector<float> dskip(batch * in_features());
+    const std::span<float> dskip =
+        scratch(ScratchSlot::kResidualIn, batch * in_features());
     skip_->backward(in, dsum, dskip, batch);
     for (std::size_t i = 0; i < dskip.size(); ++i) grad_in[i] += dskip[i];
   } else {

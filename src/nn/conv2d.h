@@ -3,8 +3,17 @@
 //
 // Tensors are (batch, C, H, W) row-major flattened into the generic
 // (batch, features) buffers.
+//
+// Conv2D's forward pass runs on nn::gemm, one sample at a time: the sample
+// is unfolded (im2col) into per-thread scratch in (Cin*K*K, pixel) layout,
+// each output starts from its bias and sums its taps (ci, kr, kc) in
+// ascending order — the order of the loop nest it replaced, so outputs are
+// bit-identical to it (a padding tap adds a zero product).  The backward
+// pass keeps that loop nest (ROADMAP.md says why).
+// The frozen loop nests are in tests/support/nn_reference.cpp.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -104,12 +113,12 @@ class ResidualBlock final : public Layer {
   std::unique_ptr<Conv2D> conv1_;
   std::unique_ptr<Conv2D> conv2_;
   std::unique_ptr<Conv2D> skip_;  // nullptr for identity skip
-  // Cached activations (sized on demand for the largest batch seen).
-  std::vector<float> pre1_;   // conv1 output (pre-relu)
-  std::vector<float> act1_;   // relu(conv1)
-  std::vector<float> pre2_;   // conv2 output
-  std::vector<float> skip_out_;
-  std::vector<float> scratch_;
+  // Forward caches (sized on demand for the largest batch seen): conv2's
+  // input, and which gradients each relu lets through — a byte per element
+  // rather than the pre-activations, since backward needs only their signs.
+  std::vector<float> act1_;           // relu(conv1)
+  std::vector<std::uint8_t> pass1_;   // !(conv1 output <= 0)
+  std::vector<std::uint8_t> pass2_;   // conv2 output + skip > 0
 };
 
 }  // namespace sidco::nn

@@ -1,7 +1,9 @@
 #include "nn/dense.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/gemm.h"
 #include "util/check.h"
 
 namespace sidco::nn {
@@ -36,36 +38,31 @@ void Dense::forward(std::span<const float> in, std::span<float> out,
                     std::size_t batch) {
   const std::size_t ni = in_features();
   const std::size_t no = out_features();
+  // y^T (no x batch) = W (no x ni) x^T, each output starting from its bias;
+  // the GEMM reads x and writes y through transposed views.
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* x = in.data() + b * ni;
-    float* y = out.data() + b * no;
-    for (std::size_t o = 0; o < no; ++o) {
-      const float* w = weight_.data() + o * ni;
-      float acc = bias_[o];
-      for (std::size_t i = 0; i < ni; ++i) acc += w[i] * x[i];
-      y[o] = acc;
-    }
+    std::copy(bias_.begin(), bias_.end(), out.data() + b * no);
   }
+  gemm(no, batch, ni, {weight_.data(), ni, 1}, {in.data(), 1, ni},
+       {out.data(), 1, no});
 }
 
 void Dense::backward(std::span<const float> in, std::span<const float> grad_out,
                      std::span<float> grad_in, std::size_t batch) {
   const std::size_t ni = in_features();
   const std::size_t no = out_features();
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* x = in.data() + b * ni;
-    const float* dy = grad_out.data() + b * no;
-    float* dx = grad_in.data() + b * ni;
-    for (std::size_t i = 0; i < ni; ++i) dx[i] = 0.0F;
-    for (std::size_t o = 0; o < no; ++o) {
-      const float g = dy[o];
-      const float* w = weight_.data() + o * ni;
-      float* dw = grad_weight_.data() + o * ni;
+  std::fill(grad_in.begin(),
+            grad_in.begin() + static_cast<std::ptrdiff_t>(batch * ni), 0.0F);
+  // Output-major, so each weight row is read once per call: dx[b] still sums
+  // o ascending and dW[o] / db[o] still sum b ascending.
+  for (std::size_t o = 0; o < no; ++o) {
+    const float* w = weight_.data() + o * ni;
+    float* dw = grad_weight_.data() + o * ni;
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float g = grad_out[b * no + o];
       grad_bias_[o] += g;
-      for (std::size_t i = 0; i < ni; ++i) {
-        dx[i] += g * w[i];
-        dw[i] += g * x[i];
-      }
+      axpy(ni, g, w, grad_in.data() + b * ni);
+      axpy(ni, g, in.data() + b * ni, dw);
     }
   }
 }

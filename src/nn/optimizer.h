@@ -39,7 +39,6 @@ class SgdOptimizer {
  private:
   OptimizerConfig config_;
   std::vector<float> velocity_;
-  std::vector<float> scratch_;
 };
 
 /// Warm-up then multiplicative decay schedule (paper: 5 warm-up epochs).

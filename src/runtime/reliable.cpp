@@ -145,19 +145,28 @@ bool ReliableEndpoint::inner_send(std::size_t peer, TransportMessage frame) {
   if (inner_.send(peer, std::move(frame))) return true;
   if (inner_.is_shut_down()) return false;
   // The link (not the transport) failed.  One reconnect attempt per closure;
-  // the frame stays in the outstanding window either way, so a successful
-  // reconnect re-delivers it on the next retransmit tick.
+  // a data frame is in the outstanding window, so a successful reconnect
+  // re-sends it with the rest of the window.
   PeerState& p = peers_[peer];
-  if (!p.dead && !p.reconnect_tried) {
-    p.reconnect_tried = true;
-    if (inner_.reconnect(peer)) {
-      p.reconnect_tried = false;
-      touch(peer);
-    } else if (!lingering_) {
-      peer_dead(peer, "link lost and reconnect failed");
-    }
+  if (!p.dead && !p.reconnect_tried && !reconnect_and_resend(peer) &&
+      !lingering_) {
+    peer_dead(peer, "link lost and reconnect failed");
   }
   return false;
+}
+
+bool ReliableEndpoint::reconnect_and_resend(std::size_t peer) {
+  PeerState& p = peers_[peer];
+  p.reconnect_tried = true;
+  if (!inner_.reconnect(peer)) return false;
+  p.reconnect_tried = false;
+  touch(peer);
+  // The wire forgot everything in flight; re-send the window now.
+  for (auto& [rseq, out] : p.outstanding) {
+    ++counters_.retransmits;
+    inner_.send(peer, out.envelope);
+  }
+  return true;
 }
 
 bool ReliableEndpoint::send(std::size_t to, TransportMessage message) {
@@ -408,19 +417,8 @@ void ReliableEndpoint::check_links(Clock::time_point now) {
     if (!p.active || p.dead) continue;
     if (p.byed_in && p.byed_out) continue;  // link is winding down cleanly
     if (inner_.link_state(i) == LinkState::kClosed) {
-      if (!p.reconnect_tried) {
-        p.reconnect_tried = true;
-        if (inner_.reconnect(i)) {
-          p.reconnect_tried = false;
-          touch(i);
-          // The wire forgot everything in flight; re-send the window now.
-          for (auto& [rseq, out] : p.outstanding) {
-            ++counters_.retransmits;
-            inner_.send(i, out.envelope);
-          }
-        } else {
-          peer_dead(i, "link lost and reconnect failed");
-        }
+      if (!p.reconnect_tried && !reconnect_and_resend(i)) {
+        peer_dead(i, "link lost and reconnect failed");
       }
       continue;
     }

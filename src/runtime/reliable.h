@@ -148,6 +148,10 @@ class ReliableEndpoint final : public Endpoint {
   void send_ack(std::size_t peer, std::uint64_t rseq);
   void send_beacon(std::size_t peer, std::uint8_t kind);
   bool inner_send(std::size_t peer, TransportMessage frame);
+  /// One reconnect attempt on a closed link.  On success re-sends the whole
+  /// outstanding window (counted as retransmits) and returns true; on
+  /// failure returns false and leaves the verdict to the caller.
+  bool reconnect_and_resend(std::size_t peer);
   void touch(std::size_t peer);
   void peer_dead(std::size_t peer, const std::string& why);
   [[nodiscard]] std::string peer_name(std::size_t peer) const;

@@ -1,7 +1,8 @@
 // Steady-state allocation contract: once a compressor's output object and
 // internal scratch (tensor::Workspace, sample/exceedance buffers) have
 // reached their high-water capacity, repeated compress_into() calls must
-// perform ZERO heap allocations.  Verified two ways:
+// perform ZERO heap allocations — and so must a model's forward + backward
+// pass after one warm-up step.  Verified two ways:
 //   1. a counting global operator new/delete (this TU overrides the global
 //      allocation functions, so every heap allocation in the process is
 //      observed), and
@@ -16,6 +17,8 @@
 #include "compressors/compressor.h"
 #include "core/factory.h"
 #include "core/sidco_compressor.h"
+#include "nn/model.h"
+#include "nn/zoo.h"
 #include "stats/distributions.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -133,6 +136,45 @@ TEST(SteadyStateAlloc, OutputBuffersAreReusedAcrossCalls) {
   EXPECT_EQ(out.sparse.values.data(), values_data);
   EXPECT_EQ(out.sparse.indices.capacity(), indices_cap);
   EXPECT_EQ(out.sparse.values.capacity(), values_cap);
+}
+
+/// A batch of the benchmark's own input shape: token ids for the language
+/// model, standard-normal pixels otherwise.
+std::vector<float> model_input(nn::Benchmark benchmark, std::size_t size) {
+  const nn::BenchmarkSpec& spec = nn::benchmark_spec(benchmark);
+  util::Rng rng(11);
+  std::vector<float> input(size);
+  for (float& x : input) {
+    x = benchmark == nn::Benchmark::kLstmPtb
+            ? static_cast<float>(rng.uniform_index(spec.classes))
+            : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return input;
+}
+
+// The NN layers keep their scratch (im2col, residual-block gradients, LSTM
+// carries) across calls, so once a model has run one step at its batch
+// size, further forward + backward passes allocate nothing.
+TEST(SteadyStateAlloc, ModelForwardBackwardAllocatesNothingAfterWarmup) {
+  for (const nn::Benchmark benchmark :
+       {nn::Benchmark::kResNet20, nn::Benchmark::kVgg19,
+        nn::Benchmark::kLstmPtb}) {
+    const nn::BenchmarkSpec& spec = nn::benchmark_spec(benchmark);
+    nn::Model model = nn::make_model(benchmark, 5);
+    const std::size_t batch = spec.batch_size;
+    const std::vector<float> input =
+        model_input(benchmark, batch * model.in_features());
+    std::vector<float> grad_logits(batch * model.out_features(), 0.01F);
+    const auto step = [&] {
+      model.zero_gradients();
+      (void)model.forward(input, batch);
+      model.backward(grad_logits);
+    };
+    step();  // warm-up
+    const std::size_t before = g_allocations.load();
+    for (int i = 0; i < 3; ++i) step();
+    EXPECT_EQ(g_allocations.load() - before, 0U) << spec.name;
+  }
 }
 
 }  // namespace
