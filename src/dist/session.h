@@ -105,8 +105,7 @@ struct FaultInjectionConfig {
   std::size_t kill_round = 0;
 
   /// One-shot link cut: endpoint `cut_from` hard-closes its socket to
-  /// `cut_to` after writing `cut_after` frames, losing the next one
-  /// (sockets engine only).
+  /// `cut_to` after writing `cut_after` frames (sockets engine only).
   /// Exercises mid-session reconnect + retransmission recovery.
   std::size_t cut_from = kNone;
   std::size_t cut_to = kNone;

@@ -23,7 +23,8 @@ Worker::Worker(nn::Benchmark benchmark, std::uint64_t model_seed,
       optimizer_(nn::benchmark_spec(benchmark).optimizer),
       rng_(stream_seed),
       error_feedback_(error_feedback),
-      memory_(model_.parameter_count(), 0.0F) {}
+      memory_(model_.parameter_count(), 0.0F),
+      ec_gradient_(model_.parameter_count(), 0.0F) {}
 
 void Worker::enable_autotune(const core::AutotuneConfig& config,
                              const WorkerAutotuneModel& model) {
@@ -54,8 +55,6 @@ WorkerStepResult Worker::step(std::size_t batch_size) {
   model_.backward(dlogits_);
 
   const std::span<const float> grad = model_.gradients();
-  // Sized on the first step: replicas that only evaluate never need it.
-  ec_gradient_.resize(grad.size());
   for (std::size_t i = 0; i < grad.size(); ++i) {
     ec_gradient_[i] = grad[i] + (error_feedback_ ? memory_[i] : 0.0F);
   }

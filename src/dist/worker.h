@@ -115,11 +115,6 @@ class Worker {
   [[nodiscard]] std::span<const float> parameters() const {
     return model_.parameters();
   }
-  /// Writable view of the same parameters, so a pull can decode the
-  /// canonical copy straight into the replica.
-  [[nodiscard]] std::span<float> mutable_parameters() {
-    return model_.parameters();
-  }
 
   [[nodiscard]] std::size_t gradient_dimension() const {
     return model_.parameter_count();

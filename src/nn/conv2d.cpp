@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "nn/gemm.h"
@@ -111,7 +112,7 @@ void Conv2D::forward(std::span<const float> in, std::span<float> out,
                      std::size_t batch) {
   const std::size_t taps = in_.channels * kernel_ * kernel_;
   const std::size_t pixels = out_.height * out_.width;
-  const std::span<float> col = scratch(ScratchSlot::kIm2col, taps * pixels);
+  const Scratch col(ScratchSlot::kIm2col, taps * pixels);
   for (std::size_t b = 0; b < batch; ++b) {
     im2col(in.data() + b * in_.features(), in_, kernel_, stride_, pad_, out_,
            col.data());
@@ -336,11 +337,11 @@ void ResidualBlock::forward(std::span<const float> in, std::span<float> out,
   }
   conv2_->forward(act1_, out, batch);
   std::span<const float> skip_out = in;
+  std::optional<Scratch> projected;
   if (skip_) {
-    const std::span<float> projected =
-        scratch(ScratchSlot::kResidualSkip, fin);
-    skip_->forward(in, projected, batch);
-    skip_out = projected;
+    projected.emplace(ScratchSlot::kResidualSkip, fin);
+    skip_->forward(in, projected->span(), batch);
+    skip_out = projected->span();
   }
   for (std::size_t i = 0; i < fin; ++i) {
     const float s = out[i] + skip_out[i];
@@ -356,13 +357,15 @@ void ResidualBlock::backward(std::span<const float> in,
   const std::size_t fin = batch * out_features();
 
   // Through the final relu: d(sum) = grad_out * relu'(sum).
-  const std::span<float> dsum = scratch(ScratchSlot::kResidualSum, fin);
+  const Scratch sum(ScratchSlot::kResidualSum, fin);
+  const std::span<float> dsum = sum.span();
   for (std::size_t i = 0; i < fin; ++i) {
     dsum[i] = pass2_[i] != 0 ? grad_out[i] : 0.0F;
   }
 
   // Branch 1: conv2 <- relu <- conv1.
-  const std::span<float> dact1 = scratch(ScratchSlot::kResidualAct, mid);
+  const Scratch act(ScratchSlot::kResidualAct, mid);
+  const std::span<float> dact1 = act.span();
   conv2_->backward(act1_, dsum, dact1, batch);
   for (std::size_t i = 0; i < mid; ++i) {
     if (pass1_[i] == 0) dact1[i] = 0.0F;
@@ -371,8 +374,8 @@ void ResidualBlock::backward(std::span<const float> in,
 
   // Branch 2 (skip): add its input-gradient contribution.
   if (skip_) {
-    const std::span<float> dskip =
-        scratch(ScratchSlot::kResidualIn, batch * in_features());
+    const Scratch skip_in(ScratchSlot::kResidualIn, batch * in_features());
+    const std::span<float> dskip = skip_in.span();
     skip_->backward(in, dsum, dskip, batch);
     for (std::size_t i = 0; i < dskip.size(); ++i) grad_in[i] += dskip[i];
   } else {

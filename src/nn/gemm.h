@@ -1,9 +1,9 @@
 // Single-threaded fp32 GEMM and axpy for the NN layers.
 //
 // One cache-blocked, register-tiled kernel serves the GEMM-shaped layer
-// loops: Conv2D's forward pass (weights x im2col of the input), Dense's
-// forward pass and the LSTM gate pre-activations (weights x the transposed
-// batch).  Dense's and the LSTM's backward row updates use axpy().
+// loops: Conv2D's forward pass (weights x im2col of the input) and Dense's
+// forward pass (weights x the transposed batch).  Dense's and the LSTM's
+// backward row updates use axpy().
 //
 // Reduction-order contract: every output element is computed exactly as the
 // plain loop

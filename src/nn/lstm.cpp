@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "nn/gemm.h"
+#include "nn/scratch.h"
 #include "util/check.h"
 
 namespace sidco::nn {
@@ -58,37 +59,38 @@ void Lstm::forward(std::span<const float> in, std::span<float> out,
   cells_.resize(batch * time_ * hidden_);
   hidden_states_.resize(batch * time_ * hidden_);
 
-  // Gate pre-activations of one time step for the whole batch, (4H x batch)
-  // with the batch vectorised: each starts from its bias, adds the input
-  // terms, then the recurrent terms, both in ascending order — per sample,
-  // the order of the dot-product loops this replaced.  The GEMM reads the
-  // batch's x_t and h_{t-1} through transposed views.
-  z_.resize(h4 * batch);
-  float* z = z_.data();
-  for (std::size_t t = 0; t < time_; ++t) {
-    for (std::size_t g = 0; g < h4; ++g) {
-      std::fill(z + g * batch, z + (g + 1) * batch, bias_[g]);
-    }
-    gemm(h4, batch, input_, {wx_.data(), input_, 1},
-         {in.data() + t * input_, 1, in_features()}, {z, batch, 1});
-    if (t > 0) {
-      gemm(h4, batch, hidden_, {wh_.data(), hidden_, 1},
-           {hidden_states_.data() + (t - 1) * hidden_, 1, time_ * hidden_},
-           {z, batch, 1});
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
+  const Scratch gates(ScratchSlot::kLstmGates, h4);
+  float* z = gates.data();
+  for (std::size_t b = 0; b < batch; ++b) {
+    const float* xb = in.data() + b * in_features();
+    float* yb = out.data() + b * out_features();
+    for (std::size_t t = 0; t < time_; ++t) {
+      const float* xt = xb + t * input_;
+      const float* h_prev =
+          t == 0 ? nullptr
+                 : hidden_states_.data() + (b * time_ + (t - 1)) * hidden_;
       const float* c_prev =
           t == 0 ? nullptr : cells_.data() + (b * time_ + (t - 1)) * hidden_;
+
+      for (std::size_t g = 0; g < h4; ++g) {
+        const float* wxr = wx_.data() + g * input_;
+        float acc = bias_[g];
+        for (std::size_t i = 0; i < input_; ++i) acc += wxr[i] * xt[i];
+        if (h_prev != nullptr) {
+          const float* whr = wh_.data() + g * hidden_;
+          for (std::size_t i = 0; i < hidden_; ++i) acc += whr[i] * h_prev[i];
+        }
+        z[g] = acc;
+      }
+
       float* gate = gates_.data() + (b * time_ + t) * h4;
       float* cell = cells_.data() + (b * time_ + t) * hidden_;
       float* hid = hidden_states_.data() + (b * time_ + t) * hidden_;
-      float* yb = out.data() + b * out_features();
-      const float* zb = z + b;
       for (std::size_t j = 0; j < hidden_; ++j) {
-        const float ig = sigmoidf(zb[j * batch]);
-        const float fg = sigmoidf(zb[(hidden_ + j) * batch]);
-        const float gg = std::tanh(zb[(2 * hidden_ + j) * batch]);
-        const float og = sigmoidf(zb[(3 * hidden_ + j) * batch]);
+        const float ig = sigmoidf(z[j]);
+        const float fg = sigmoidf(z[hidden_ + j]);
+        const float gg = std::tanh(z[2 * hidden_ + j]);
+        const float og = sigmoidf(z[3 * hidden_ + j]);
         gate[j] = ig;
         gate[hidden_ + j] = fg;
         gate[2 * hidden_ + j] = gg;
@@ -106,12 +108,12 @@ void Lstm::forward(std::span<const float> in, std::span<float> out,
 void Lstm::backward(std::span<const float> in, std::span<const float> grad_out,
                     std::span<float> grad_in, std::size_t batch) {
   const std::size_t h4 = 4 * hidden_;
-  dh_.resize(hidden_);
-  dc_.resize(hidden_);
-  dz_.resize(h4);
-  float* dh = dh_.data();
-  float* dc = dc_.data();
-  float* dz = dz_.data();
+  const Scratch hidden_grad(ScratchSlot::kLstmHidden, hidden_);
+  const Scratch cell_grad(ScratchSlot::kLstmCell, hidden_);
+  const Scratch gate_grad(ScratchSlot::kLstmGateGrad, h4);
+  float* dh = hidden_grad.data();
+  float* dc = cell_grad.data();
+  float* dz = gate_grad.data();
   std::fill(grad_in.begin(),
             grad_in.begin() + static_cast<std::ptrdiff_t>(batch * in_features()),
             0.0F);

@@ -13,9 +13,9 @@ namespace sidco::nn {
 
 /// Single LSTM layer: (B, T, D_in) -> (B, T, H).  Gate order i, f, g, o;
 /// forget-gate bias initialised to 1.  State is reset at each sequence start
-/// (stateless across batches).  The gate pre-activations run on nn::gemm over
-/// the batch and the backward row updates on nn::axpy, in the order of the
-/// loops in tests/support/nn_reference.cpp, so results are bit-identical.
+/// (stateless across batches).  The backward row updates run on nn::axpy, in
+/// the order of the loops in tests/support/nn_reference.cpp, so results are
+/// bit-identical to them.
 class Lstm final : public Layer {
  public:
   Lstm(std::size_t time_steps, std::size_t input_dim, std::size_t hidden_dim);
@@ -43,12 +43,6 @@ class Lstm final : public Layer {
   std::vector<float> gates_;  // (B, T, 4H) post-nonlinearity [i f g o]
   std::vector<float> cells_;  // (B, T, H)
   std::vector<float> hidden_states_;  // (B, T, H)
-  // Scratch: gate pre-activations of one step for the batch (4H, B), and
-  // the backward carries (d hidden, d cell, d gate pre-activations).
-  std::vector<float> z_;
-  std::vector<float> dh_;
-  std::vector<float> dc_;
-  std::vector<float> dz_;
 };
 
 /// Token embedding: input (B, T) of ids stored as floats, output (B, T, E).

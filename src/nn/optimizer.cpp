@@ -18,49 +18,37 @@ void SgdOptimizer::step(std::span<float> params, std::span<const float> grad) {
   util::check(params.size() == grad.size(), "optimizer size mismatch");
   const std::size_t n = params.size();
 
-  // Effective gradient = grad + weight_decay * params, clipped by global
-  // norm.  It is recomputed where it is used rather than stored: each
-  // element's update reads its own parameter before writing it, so the
-  // values are the same and no parameter-sized copy is kept.
-  const bool decay = config_.weight_decay > 0.0;
-  const auto wd = static_cast<float>(config_.weight_decay);
-  const auto effective = [&](std::size_t i) {
-    return decay ? grad[i] + wd * params[i] : grad[i];
-  };
-  bool clip = false;
-  float scale = 1.0F;
+  // Effective gradient = grad + weight_decay * params, clipped by global norm.
+  scratch_.assign(grad.begin(), grad.end());
+  if (config_.weight_decay > 0.0) {
+    const auto wd = static_cast<float>(config_.weight_decay);
+    for (std::size_t i = 0; i < n; ++i) scratch_[i] += wd * params[i];
+  }
   if (config_.clip_norm > 0.0) {
     double norm_sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float g = effective(i);
-      norm_sq += static_cast<double>(g) * g;
-    }
+    for (float g : scratch_) norm_sq += static_cast<double>(g) * g;
     const double norm = std::sqrt(norm_sq);
     if (norm > config_.clip_norm) {
-      clip = true;
-      scale = static_cast<float>(config_.clip_norm / norm);
+      const auto scale = static_cast<float>(config_.clip_norm / norm);
+      for (float& g : scratch_) g *= scale;
     }
   }
-  const auto clipped = [&](std::size_t i) {
-    return clip ? effective(i) * scale : effective(i);
-  };
 
   const auto lr = static_cast<float>(config_.learning_rate);
   if (config_.momentum == 0.0) {
-    for (std::size_t i = 0; i < n; ++i) params[i] -= lr * clipped(i);
+    for (std::size_t i = 0; i < n; ++i) params[i] -= lr * scratch_[i];
     return;
   }
   if (velocity_.size() != n) velocity_.assign(n, 0.0F);
   const auto mu = static_cast<float>(config_.momentum);
   if (config_.nesterov) {
     for (std::size_t i = 0; i < n; ++i) {
-      const float g = clipped(i);
-      velocity_[i] = mu * velocity_[i] + g;
-      params[i] -= lr * (g + mu * velocity_[i]);
+      velocity_[i] = mu * velocity_[i] + scratch_[i];
+      params[i] -= lr * (scratch_[i] + mu * velocity_[i]);
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) {
-      velocity_[i] = mu * velocity_[i] + clipped(i);
+      velocity_[i] = mu * velocity_[i] + scratch_[i];
       params[i] -= lr * velocity_[i];
     }
   }

@@ -39,6 +39,7 @@ class SgdOptimizer {
  private:
   OptimizerConfig config_;
   std::vector<float> velocity_;
+  std::vector<float> scratch_;
 };
 
 /// Warm-up then multiplicative decay schedule (paper: 5 warm-up epochs).

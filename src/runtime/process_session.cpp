@@ -250,7 +250,7 @@ SessionResult run_session_processes(const SessionConfig& config) {
                /*deliver_peer_death=*/evict && ps);
     Endpoint& endpoint = chaos.get();
     if (ps) {
-      topo::run_ps_server(config, std::move(init_params), dim, endpoint, result,
+      topo::run_ps_server(config, init_params, dim, endpoint, result,
                           measured);
     } else {
       topo::run_collective_coordinator(config, dim, endpoint, result,

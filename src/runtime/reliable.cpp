@@ -145,8 +145,8 @@ bool ReliableEndpoint::inner_send(std::size_t peer, TransportMessage frame) {
   if (inner_.send(peer, std::move(frame))) return true;
   if (inner_.is_shut_down()) return false;
   // The link (not the transport) failed.  One reconnect attempt per closure;
-  // a data frame is in the outstanding window, so a successful reconnect
-  // re-sends it with the rest of the window.
+  // a data frame stays in the outstanding window either way, and a
+  // successful reconnect re-sends the whole window at once.
   PeerState& p = peers_[peer];
   if (!p.dead && !p.reconnect_tried && !reconnect_and_resend(peer) &&
       !lingering_) {

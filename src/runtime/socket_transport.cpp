@@ -525,16 +525,6 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
   void flush_writes(std::size_t i) {
     Peer& p = peers_[i];
     while (!p.out.empty()) {
-      if (i == cut_peer_ && !cut_done_ && p.out_pos == 0 &&
-          p.frames_written >= cut_after_) {
-        // Deterministic chaos knob: hard-close the link exactly once, just
-        // before the next frame goes out, so that frame (and everything
-        // queued behind it) is lost with the link.  The peer sees EOF; the
-        // reliable layer reconnects and retransmits.
-        cut_done_ = true;
-        close_link(p);
-        return;
-      }
       const std::vector<std::uint8_t>& front = p.out.front();
       const std::size_t remaining = front.size() - p.out_pos;
       const ssize_t sent = ::send(p.fd, front.data() + p.out_pos, remaining,
@@ -555,6 +545,14 @@ class SocketTransport::SocketEndpoint final : public Endpoint {
         p.out.pop_front();
         p.out_pos = 0;
         ++p.frames_written;
+        if (i == cut_peer_ && !cut_done_ &&
+            p.frames_written >= cut_after_) {
+          // Deterministic chaos knob: hard-close the link exactly once.
+          // The peer sees EOF; the reliable layer reconnects/retransmits.
+          cut_done_ = true;
+          close_link(p);
+          return;
+        }
       }
     }
   }

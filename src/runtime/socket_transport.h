@@ -116,10 +116,8 @@ class SocketTransport final : public Transport {
   void set_link_recovery(bool enabled);
 
   /// Deterministic one-shot link cut (chaos tests): the endpoint `from`
-  /// hard-closes its link to `to` after fully writing `after` frames, when
-  /// the next frame is about to go out; that frame and any queued behind it
-  /// are lost.  Call before forking; requires link-recovery mode to be
-  /// survivable.
+  /// hard-closes its link to `to` after fully writing `after` frames.  Call
+  /// before forking; requires link-recovery mode to be survivable.
   void set_link_cut(std::size_t from, std::size_t to, std::size_t after);
 
  private:

@@ -7,7 +7,6 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "dist/session_detail.h"
@@ -171,7 +170,7 @@ SessionResult run_topology_threads(const SessionConfig& config) {
 
   errors.guard(n, [&] {
     if (ps) {
-      topo::run_ps_server(config, std::move(init_params), dim, *eps[n], result,
+      topo::run_ps_server(config, init_params, dim, *eps[n], result,
                           measured);
     } else {
       topo::run_collective_coordinator(config, dim, *eps[n], result,

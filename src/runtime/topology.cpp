@@ -63,20 +63,14 @@ std::vector<std::uint8_t> encode_params(std::span<const float> params) {
   return bytes;
 }
 
-void decode_params(std::span<const std::uint8_t> bytes, std::span<float> out) {
-  util::check(bytes.size() == out.size() * 4,
-              "transport: parameter body does not match the model size");
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = comm::get_f32_le(bytes, i * 4);
-  }
-}
-
 void decode_params(std::span<const std::uint8_t> bytes,
                    std::vector<float>& out) {
   util::check(bytes.size() % 4 == 0,
               "transport: parameter body is not a whole number of floats");
   out.resize(bytes.size() / 4);
-  decode_params(bytes, std::span<float>(out));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = comm::get_f32_le(bytes, i * 4);
+  }
 }
 
 /// kDone body: measured seconds (two f64s) followed by the worker's
@@ -442,6 +436,7 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
   const std::size_t server = config.workers;
 
   std::size_t worker_version = 0;  // applied rounds at the last pull
+  std::vector<float> snapshot_scratch;
   MeasuredSeconds measured;
   util::Timer phase;
 
@@ -456,10 +451,10 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
                   "parameter-server worker received an out-of-protocol "
                   "message");
       // A non-empty grant body carries a fresh parameter snapshot; the
-      // server moved on since this worker's last pull.  It is decoded
-      // straight into the replica.
+      // server moved on since this worker's last pull.
       if (grant->body_size() > 0) {
-        decode_params(*grant->payload, worker.mutable_parameters());
+        decode_params(*grant->payload, snapshot_scratch);
+        worker.overwrite_parameters(snapshot_scratch);
         worker_version = grant->seq;
       }
     }
@@ -494,7 +489,7 @@ void run_ps_worker(const SessionConfig& config, std::size_t w,
 }
 
 void run_ps_server(const SessionConfig& config,
-                   std::vector<float> init_params, std::size_t dim,
+                   const std::vector<float>& init_params, std::size_t dim,
                    Endpoint& endpoint, SessionResult& result,
                    std::vector<MeasuredSeconds>& measured) {
   const nn::BenchmarkSpec& spec = nn::benchmark_spec(config.benchmark);
@@ -507,7 +502,7 @@ void run_ps_server(const SessionConfig& config,
 
   // Canonical server state, exactly as in the simulated driver: worker 0's
   // initial replica, updated through one canonical optimizer.
-  std::vector<float> server_params = std::move(init_params);
+  std::vector<float> server_params = init_params;
   nn::SgdOptimizer server_optimizer(spec.optimizer);
   dist::Worker eval_head(config.benchmark, config.seed,
                          dist::detail::eval_head_stream_seed(config),

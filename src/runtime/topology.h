@@ -83,13 +83,13 @@ void run_ps_worker(const dist::SessionConfig& config, std::size_t w,
                    dist::Worker& worker, Endpoint& endpoint);
 
 /// Parameter-server loop (endpoint n): owns the canonical parameters
-/// (taken over from `init_params`, worker 0's initial replica), buckets pushes
+/// (seeded from `init_params`, worker 0's initial replica), buckets pushes
 /// per round, applies each complete round's mean through the shared
 /// dist::detail::PsApplyState (staleness-0 bit-identity), and grants under
 /// the SSP admission `version + staleness_bound >= round`.  Fills the
 /// engine-shared fields of `result` and collects kDone into `measured`.
 void run_ps_server(const dist::SessionConfig& config,
-                   std::vector<float> init_params, std::size_t dim,
+                   const std::vector<float>& init_params, std::size_t dim,
                    Endpoint& endpoint, dist::SessionResult& result,
                    std::vector<MeasuredSeconds>& measured);
 

@@ -5,9 +5,9 @@
 // as the oracle for tests/test_nn_gemm.cpp.  The library layers promise
 // results value-identical to these (same terms, same order, same rounding),
 // so the suite compares them element for element; parts the library still
-// computes with the same loops (Conv2D backward) are compared too, so
-// moving them later has its oracle waiting.  Do not optimise this file: its
-// whole value is that it does not change.
+// computes with the same loops (Conv2D backward, the LSTM gates) are
+// compared too, so moving them later has its oracle waiting.  Do not
+// optimise this file: its whole value is that it does not change.
 #pragma once
 
 #include <cstddef>

@@ -20,7 +20,9 @@
 #include "nn/dense.h"
 #include "nn/gemm.h"
 #include "nn/lstm.h"
+#include "nn/scratch.h"
 #include "support/nn_reference.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -357,6 +359,18 @@ TEST(NnGemmLayers, ScratchFollowsTheBatchSize) {
                           level_tag("Lstm reuse", batch));
     }
   }
+}
+
+TEST(NnScratch, ASlotIsHeldByOneUserAtATime) {
+  {
+    const nn::Scratch held(nn::ScratchSlot::kIm2col, 8);
+    EXPECT_THROW(nn::Scratch(nn::ScratchSlot::kIm2col, 8), util::CheckError);
+    // Another slot is other memory and stays available.
+    const nn::Scratch other(nn::ScratchSlot::kResidualSum, 8);
+    EXPECT_NE(held.data(), other.data());
+  }
+  // Released on destruction.
+  EXPECT_NO_THROW(nn::Scratch(nn::ScratchSlot::kIm2col, 8));
 }
 
 }  // namespace
